@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/replica/pb"
 	"fortress/internal/service"
 	"fortress/internal/sig"
@@ -62,7 +63,7 @@ func run() error {
 		`{"op":"transfer","from":"alice","to":"bob","amount":40}`,
 	}
 	for i, body := range requests {
-		resp, err := pb.Request(net, "client", "server-0", fmt.Sprintf("r%d", i), []byte(body), 2*time.Second)
+		resp, _, err := core.Request(net, "client", "server-0", fmt.Sprintf("r%d", i), []byte(body), false, 2*time.Second)
 		if err != nil {
 			return err
 		}
@@ -83,8 +84,8 @@ func run() error {
 	fmt.Println("replica 1 promoted to primary")
 
 	// The new primary serves with the replicated state.
-	resp, err := pb.Request(net, "client", "server-1", "post-failover",
-		[]byte(`{"op":"balance","from":"bob"}`), 2*time.Second)
+	resp, _, err := core.Request(net, "client", "server-1", "post-failover",
+		[]byte(`{"op":"balance","from":"bob"}`), false, 2*time.Second)
 	if err != nil {
 		return err
 	}

@@ -76,11 +76,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig is the configuration the benches and CLI use.
-func DefaultConfig() Config {
-	return Config{Trials: 100000, Seed: 1, LaunchPadFraction: -1}
-}
-
 // simConfig is the per-cell engine configuration.
 func (c Config) simConfig() sim.Config {
 	return sim.Config{Workers: c.Workers}

@@ -630,18 +630,6 @@ func (s *System) StallDisk(i int, d time.Duration) error {
 	return nil
 }
 
-// ServerStore returns server i's persistent store, or nil without a
-// StoreFactory (or before the server first started). Tests use it to
-// inspect and hash on-disk state.
-func (s *System) ServerStore(i int) store.Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i < 0 || i >= len(s.stores) {
-		return nil
-	}
-	return s.stores[i]
-}
-
 // RestartProxy ends a fault outage for proxy i; see RestartServer.
 func (s *System) RestartProxy(i int) error {
 	s.mu.Lock()

@@ -28,7 +28,7 @@ import (
 	"fortress/internal/metrics"
 	"fortress/internal/nameserver"
 	"fortress/internal/netsim"
-	"fortress/internal/replica/pb"
+	"fortress/internal/replica/core"
 	"fortress/internal/shard"
 	"fortress/internal/sig"
 )
@@ -76,12 +76,6 @@ func encode(m clientMsg) []byte {
 // a hand-rolled client (or an attacker) sends a proxy.
 func EncodeRequest(requestID string, body []byte) []byte {
 	return encode(clientMsg{Type: msgRequest, RequestID: requestID, Body: body})
-}
-
-// EncodeReadRequest builds the wire form of a read-tagged client request,
-// eligible for the servers' lease-read fast path.
-func EncodeReadRequest(requestID string, body []byte) []byte {
-	return encode(clientMsg{Type: msgRequest, RequestID: requestID, Body: body, Read: true})
 }
 
 // Config describes one proxy.
@@ -389,7 +383,7 @@ func (p *Proxy) forward(conn *netsim.Conn, source string, m clientMsg) {
 		p.done.Add(1)
 		go func(idx int, addr string) {
 			defer p.done.Done()
-			resp, err := pb.RequestTagged(p.cfg.Net, p.cfg.Addr, addr, m.RequestID, m.Body, m.Read, p.cfg.ServerTimeout)
+			resp, _, err := core.Request(p.cfg.Net, p.cfg.Addr, addr, m.RequestID, m.Body, m.Read, p.cfg.ServerTimeout)
 			if err != nil {
 				// Connection refused/closed without a response: the server
 				// process crashed under this request — exactly the
@@ -474,7 +468,8 @@ func (p *Proxy) RawForward(serverIndex int, requestID string, body []byte) (sig.
 	if err != nil {
 		return sig.ServerResponse{}, err
 	}
-	return pb.Request(p.cfg.Net, p.cfg.Addr, addr, requestID, body, p.cfg.ServerTimeout)
+	resp, _, err := core.Request(p.cfg.Net, p.cfg.Addr, addr, requestID, body, false, p.cfg.ServerTimeout)
+	return resp, err
 }
 
 // --- Client ------------------------------------------------------------

@@ -10,9 +10,9 @@
 //     the previous generation's serve loops, re-registers the listener,
 //     asks the protocol to rejoin) — with the serve-loop drain discipline
 //     that makes Stop safe to call from within request handling.
-//   - The inbound-connection registry: every served (and adopted auxiliary)
-//     connection is tracked so shutdown can close it; Stop never depends on
-//     a peer sending one more message to wake a serving goroutine.
+//   - The inbound-connection registry: every served connection is tracked
+//     so shutdown can close it; Stop never depends on a peer sending one
+//     more message to wake a serving goroutine.
 //   - The accept/serve loops: each served connection drains its backlog a
 //     whole batch at a time (RecvBatch — one queue-lock acquisition per
 //     drain), hands every payload to the protocol Handler, releases the
@@ -33,6 +33,23 @@
 //     executes a drained batch of requests pays one fan-out flush per peer,
 //     not one Send per update per peer. The runtime flushes automatically
 //     after every drained inbound batch and after every timer tick.
+//
+// It also owns the client-request edge, the requester-facing half of a
+// replica that both backends share, so pb and smr differ only in protocol
+// logic:
+//
+//   - The request/response message (Msg), which each backend embeds first
+//     in its own wire message, and the pooled Decoder both backends decode
+//     their wire messages with.
+//   - The requester (Request, RequestOn) that proxies, smr clients and
+//     tests use to send one request and wait for the signed response and
+//     its leased bit.
+//   - The reply table (ReplyTable): the bounded, insertion-ordered cache
+//     of executed requests' signable response payloads — the retry horizon
+//     checkpoints and catch-up transfers copy — plus the connections parked
+//     on requests not yet executed here.
+//   - The reply signer (Signer), which signs and encodes every response a
+//     replica sends.
 package core
 
 import (
@@ -280,7 +297,7 @@ func (n *Node) shutdown() {
 		conns = append(conns, c)
 	}
 	n.peerConns = make(map[int]*netsim.Conn)
-	// Served (inbound) and adopted connections too: Stop must never depend
+	// Served (inbound) connections too: Stop must never depend
 	// on a peer sending one more message to wake a goroutine out of Recv —
 	// an idle connection from a peer with nothing more to say would
 	// otherwise park its serve loop, and done.Wait with it, forever.
@@ -341,42 +358,8 @@ func (n *Node) Restart() error {
 	return nil
 }
 
-// Go runs fn on a runtime-tracked goroutine (Stop waits for it), unless the
-// node is already shut down, in which case it reports false and fn never
-// runs.
-//
-// Note: for peer-to-peer request/response exchanges, prefer staging the
-// request on the peer outbox and handling the reply in HandlePeerReply —
-// the full-duplex peer links made the dialed-exchange pattern (Go +
-// AdoptConn, which smr catch-up once used) unnecessary. Go remains for
-// genuinely auxiliary work a protocol must run off the serve loops.
-func (n *Node) Go(fn func()) bool {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return false
-	}
-	n.done.Add(1)
-	n.mu.Unlock()
-	go func() {
-		defer n.done.Done()
-		fn()
-	}()
-	return true
-}
-
-// AdoptConn registers an auxiliary connection (one the caller dialed
-// itself) with the inbound registry so shutdown closes it. It reports false
-// — closing the connection — when the node is already shutting down. Pair
-// with ForgetConn when the exchange completes. Peer exchanges should ride
-// the duplex peer links instead (see Go); AdoptConn remains for
-// connections to non-peers a protocol must hold across a shutdown.
-func (n *Node) AdoptConn(conn *netsim.Conn) bool {
-	return n.registerInbound(conn)
-}
-
-// ForgetConn removes a connection from the registry.
-func (n *Node) ForgetConn(conn *netsim.Conn) {
+// forgetConn removes a served connection from the registry.
+func (n *Node) forgetConn(conn *netsim.Conn) {
 	n.mu.Lock()
 	delete(n.inbound, conn)
 	n.mu.Unlock()
@@ -420,7 +403,7 @@ func (n *Node) registerInbound(conn *netsim.Conn) bool {
 // forwards) leaves in one coalesced SendBatch per peer.
 func (n *Node) serveConn(conn *netsim.Conn, stop chan struct{}) {
 	defer n.done.Done()
-	defer n.ForgetConn(conn)
+	defer n.forgetConn(conn)
 	defer conn.Close()
 	var batch, replies [][]byte
 	for {

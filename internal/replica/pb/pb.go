@@ -77,10 +77,9 @@ func (r Role) String() string {
 	}
 }
 
-// wire message types exchanged between replicas and with requesters.
+// wire message types exchanged between replicas; requests and responses
+// are core.MsgRequest and core.MsgResponse.
 const (
-	msgRequest    = "request"    // requester → replica: please serve
-	msgResponse   = "response"   // replica → requester: signed response
 	msgUpdate     = "update"     // primary → backup: executed request + state delta
 	msgCheckpoint = "checkpoint" // primary → backup: full snapshot anchor
 	msgAck        = "ack"        // backup → primary: cumulative applied frontier
@@ -88,15 +87,15 @@ const (
 	msgHeartbeat  = "heartbeat"  // primary → backup (carries executed frontier)
 )
 
+// wireMsg is the replica wire format: the shared request edge (type,
+// request ID, body, read tag, signed response) plus the update stream. An
+// update carries the executed request's ID and its response.
 type wireMsg struct {
-	Type      string              `json:"type"`
-	RequestID string              `json:"requestId,omitempty"`
-	Body      []byte              `json:"body,omitempty"`
-	Seq       uint64              `json:"seq,omitempty"`
-	From      int                 `json:"from,omitempty"`
-	Response  *sig.ServerResponse `json:"response,omitempty"`
-	RespBody  []byte              `json:"respBody,omitempty"`
-	RespErr   string              `json:"respErr,omitempty"`
+	core.Msg
+	Seq      uint64 `json:"seq,omitempty"`
+	From     int    `json:"from,omitempty"`
+	RespBody []byte `json:"respBody,omitempty"`
+	RespErr  string `json:"respErr,omitempty"`
 	// Snapshot carries a checkpoint's full state; Responses rides a resync
 	// checkpoint so requests the receiver jumps over stay answerable from
 	// cache (values are the signable response payloads).
@@ -113,24 +112,10 @@ type wireMsg struct {
 	// only to a backup confirmed on its own chain, and checkpoint-resyncs
 	// everyone else.
 	Stream int `json:"stream,omitempty"`
-	// Read tags a request the sender classified as a pure read. The pb
-	// engine itself ignores it (backups park request connections until the
-	// primary's update broadcast arrives, so there is no safe local read
-	// path to shortcut into), but the field keeps the request wire shape
-	// shared with smr, whose lease-read path the tag enables — proxies
-	// speak this one encoder to both backends.
-	Read bool `json:"read,omitempty"`
 }
 
-// sortedKeys returns m's keys in sorted order, for deterministic iteration.
-func sortedKeys(m map[string][]byte) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+// decoder decodes every wireMsg the replica receives.
+var decoder core.Decoder[wireMsg]
 
 func encode(m wireMsg) []byte {
 	b, err := json.Marshal(m)
@@ -148,9 +133,6 @@ const (
 	// defaultUpdateWindow bounds the retained unacknowledged deltas when
 	// Config.UpdateWindow is zero.
 	defaultUpdateWindow = 256
-	// defaultRespCacheLimit bounds the response cache when
-	// Config.RespCacheLimit is zero.
-	defaultRespCacheLimit = 4096
 	// streamUnknown marks a backup that is not positioned in any primary's
 	// update stream (fresh, rebuilt, or deposed): only a checkpoint anchors
 	// it.
@@ -264,6 +246,7 @@ type retained struct {
 type Replica struct {
 	cfg     Config
 	node    *core.Node
+	signer  core.Signer
 	peerIdx []int // every other replica index, ascending
 
 	// execMu serializes state transitions against the hosted service: on the
@@ -284,11 +267,8 @@ type Replica struct {
 	primaryIdx    int
 	seq           uint64
 	lastHeartbeat time.Time
-	respCache     map[string]cachedResp
-	respOrder     []string // respCache keys, insertion order (eviction)
-	respLimit     int      // 0 = unbounded
-	ckptJumps     int      // installed checkpoints that re-anchored the chain
-	pending       map[string][]*netsim.Conn
+	replies       core.ReplyTable // response payloads and parked requesters
+	ckptJumps     int             // installed checkpoints that re-anchored the chain
 	suspected     map[int]bool
 
 	// Primary-side update stream state.
@@ -331,19 +311,15 @@ type Replica struct {
 	trace         *metrics.TraceRing
 }
 
-type cachedResp struct {
-	body   []byte
-	errMsg string
-}
-
-// payload is the signable response body: what every replica signs for this
-// request, and what checkpoint Responses maps carry — one definition, so a
-// response transferred by resync signs the same bytes a live replica signs.
-func (c cachedResp) payload() []byte {
-	if c.errMsg != "" {
-		return []byte("error: " + c.errMsg)
+// payload is the signable response body of an Apply result: what every
+// replica signs for the request, what the reply table caches and what
+// checkpoint Responses maps carry — one definition, so a response
+// transferred by resync signs the same bytes a live replica signs.
+func payload(body []byte, errMsg string) []byte {
+	if errMsg != "" {
+		return []byte("error: " + errMsg)
 	}
-	return c.body
+	return body
 }
 
 // New starts a replica. Call Stop to shut it down.
@@ -361,26 +337,18 @@ func New(cfg Config) (*Replica, error) {
 	case windowKeep < 0:
 		windowKeep = 0
 	}
-	respLimit := cfg.RespCacheLimit
-	switch {
-	case respLimit == 0:
-		respLimit = defaultRespCacheLimit
-	case respLimit < 0:
-		respLimit = 0
-	}
 	st := cfg.Store
 	if st == nil {
 		st = store.NewMem()
 	}
 	r := &Replica{
 		cfg:        cfg,
+		signer:     core.Signer{Keys: cfg.Keys, Index: cfg.Index},
 		store:      st,
 		durable:    st.Durable(),
-		respLimit:  respLimit,
 		role:       RoleBackup,
 		primaryIdx: cfg.InitialPrimary,
-		respCache:  make(map[string]cachedResp),
-		pending:    make(map[string][]*netsim.Conn),
+		replies:    core.NewReplyTable(cfg.RespCacheLimit),
 		suspected:  make(map[int]bool),
 		window:     core.NewWindow[retained](1, windowKeep),
 		acked:      make(map[int]uint64),
@@ -496,23 +464,6 @@ func (r *Replica) CheckpointJumps() int {
 // PublicKey exposes the verification key for name-server registration.
 func (r *Replica) PublicKey() []byte { return r.cfg.Keys.Public() }
 
-// cacheRespLocked inserts one cached response, evicting oldest-first past
-// the configured bound. Caller holds r.mu.
-func (r *Replica) cacheRespLocked(id string, c cachedResp) {
-	if _, ok := r.respCache[id]; !ok {
-		r.respOrder = append(r.respOrder, id)
-	}
-	r.respCache[id] = c
-	if r.respLimit <= 0 {
-		return
-	}
-	for len(r.respOrder) > r.respLimit {
-		evicted := r.respOrder[0]
-		r.respOrder = r.respOrder[1:]
-		delete(r.respCache, evicted)
-	}
-}
-
 // Stop shuts the replica down and waits for its goroutines to exit.
 func (r *Replica) Stop() { r.node.Stop() }
 
@@ -563,7 +514,7 @@ func (r *Replica) Rejoin() {
 	// resolves with a nack on the first update or heartbeat it hears.
 	r.suspected = make(map[int]bool)
 	// Parked requesters were disconnected by the shutdown; they resubmit.
-	r.pending = make(map[string][]*netsim.Conn)
+	r.replies.UnparkAll()
 	r.resyncing = false
 	// The ack-stall clock compares frontiers observed on consecutive live
 	// ticks; observations from before the crash describe a link that no
@@ -614,7 +565,7 @@ func (r *Replica) RecoverFromStore() error {
 		state []byte
 		seq   uint64
 		from  = streamUnknown
-		resps = make(map[string]cachedResp)
+		resps = make(map[string][]byte)
 	)
 	if rec.HasSnapshot {
 		var cp wireMsg
@@ -625,11 +576,11 @@ func (r *Replica) RecoverFromStore() error {
 		seq = cp.Seq
 		from = cp.From
 		if cp.RequestID != "" {
-			resps[cp.RequestID] = cachedResp{body: cp.RespBody, errMsg: cp.RespErr}
+			resps[cp.RequestID] = payload(cp.RespBody, cp.RespErr)
 		}
-		for id, payload := range cp.Responses {
+		for id, p := range cp.Responses {
 			if _, ok := resps[id]; !ok {
-				resps[id] = cachedResp{body: payload}
+				resps[id] = p
 			}
 		}
 	}
@@ -664,7 +615,7 @@ replay:
 			break replay
 		}
 		if m.RequestID != "" {
-			resps[m.RequestID] = cachedResp{body: m.RespBody, errMsg: m.RespErr}
+			resps[m.RequestID] = payload(m.RespBody, m.RespErr)
 		}
 		seq = rseq
 	}
@@ -691,14 +642,7 @@ replay:
 	} else {
 		r.role = RolePrimary
 	}
-	ids := make([]string, 0, len(resps))
-	for id := range resps {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		r.cacheRespLocked(id, resps[id])
-	}
+	r.replies.Seed(resps)
 	r.lastHeartbeat = time.Now()
 	r.mu.Unlock()
 	return nil
@@ -706,12 +650,12 @@ replay:
 
 // HandleMessage implements core.Handler: one decoded wire message.
 func (r *Replica) HandleMessage(conn *netsim.Conn, raw []byte, replies [][]byte) [][]byte {
-	var m wireMsg
-	if json.Unmarshal(raw, &m) != nil {
+	m, err := decoder.Decode(raw)
+	if err != nil {
 		return replies // malformed traffic is dropped, never crashes a replica
 	}
 	switch m.Type {
-	case msgRequest:
+	case core.MsgRequest:
 		if resp := r.handleRequest(conn, m); resp != nil {
 			replies = append(replies, resp)
 		}
@@ -737,8 +681,8 @@ func (r *Replica) HandleMessage(conn *netsim.Conn, raw []byte, replies [][]byte)
 // link. For the primary that is the ack/nack stream its update broadcasts
 // come back as.
 func (r *Replica) HandlePeerReply(peer int, raw []byte) {
-	var m wireMsg
-	if json.Unmarshal(raw, &m) != nil {
+	m, err := decoder.Decode(raw)
+	if err != nil {
 		return
 	}
 	switch m.Type {
@@ -755,13 +699,13 @@ func (r *Replica) HandlePeerReply(peer int, raw []byte) {
 // responses into one SendBatch.
 func (r *Replica) handleRequest(conn *netsim.Conn, m wireMsg) []byte {
 	r.mu.Lock()
-	if cached, ok := r.respCache[m.RequestID]; ok {
+	if cached, ok := r.replies.Get(m.RequestID); ok {
 		r.mu.Unlock()
-		return r.responseBytes(m.RequestID, cached)
+		return r.signer.Reply(m.RequestID, cached, false)
 	}
 	if r.role != RolePrimary {
 		// Backup: park the connection until the primary's update arrives.
-		r.pending[m.RequestID] = append(r.pending[m.RequestID], conn)
+		r.replies.Park(m.RequestID, conn)
 		r.mu.Unlock()
 		return nil
 	}
@@ -781,17 +725,20 @@ func (r *Replica) execute(m wireMsg) []byte {
 	r.mu.Lock()
 	// Re-check under execMu: a concurrent duplicate may have executed while
 	// this request waited, and must not run the service twice.
-	if prior, ok := r.respCache[m.RequestID]; ok {
+	if prior, ok := r.replies.Get(m.RequestID); ok {
 		r.mu.Unlock()
-		return r.responseBytes(m.RequestID, prior)
+		return r.signer.Reply(m.RequestID, prior, false)
 	}
 	r.mu.Unlock()
 
+	up := retained{requestID: m.RequestID}
 	body, applyErr := r.cfg.Service.Apply(m.Body)
-	cached := cachedResp{body: body}
 	if applyErr != nil {
-		cached = cachedResp{errMsg: applyErr.Error()}
+		up.respErr = applyErr.Error()
+	} else {
+		up.respBody = body
 	}
+	cached := payload(up.respBody, up.respErr)
 
 	// Fast path: a DeltaCapable service described this Apply's exact
 	// snapshot edit, so the next chain state is a splice of the previous
@@ -822,16 +769,15 @@ func (r *Replica) execute(m wireMsg) []byte {
 	r.mu.Lock()
 	r.seq++
 	seq := r.seq
-	r.cacheRespLocked(m.RequestID, cached)
+	r.replies.Put(m.RequestID, cached)
 	if snapErr != nil {
 		// The new state cannot be described: break the chain so the next
 		// update checkpoints, and restart the window past the hole.
 		r.lastSnap = nil
 		r.window.Reset(seq + 1)
 		r.mu.Unlock()
-		return r.responseBytes(m.RequestID, cached)
+		return r.signer.Reply(m.RequestID, cached, false)
 	}
-	up := retained{requestID: m.RequestID, respBody: cached.body, respErr: cached.errMsg}
 	if r.lastSnap == nil || seq%uint64(r.cfg.CheckpointEvery) == 0 {
 		up.checkpoint = snap
 		r.mCheckpoints.Inc()
@@ -864,7 +810,7 @@ func (r *Replica) execute(m wireMsg) []byte {
 		r.persistUpdateLocked(seq, up, wire)
 	}
 	r.mu.Unlock()
-	return r.responseBytes(m.RequestID, cached)
+	return r.signer.Reply(m.RequestID, cached, false)
 }
 
 // persistUpdateLocked journals one executed update on the primary: deltas
@@ -879,11 +825,7 @@ func (r *Replica) persistUpdateLocked(seq uint64, up retained, wire []byte) {
 		_ = r.store.Append(seq, wire)
 		return
 	}
-	responses := make(map[string][]byte, len(r.respCache))
-	for id, c := range r.respCache {
-		responses[id] = c.payload()
-	}
-	if r.store.WriteSnapshot(seq, encode(updateMsg(seq, r.cfg.Index, up, responses))) == nil {
+	if r.store.WriteSnapshot(seq, encode(updateMsg(seq, r.cfg.Index, up, r.replies.Copy()))) == nil {
 		_ = r.store.TruncateTo(store.TruncateAll)
 	}
 }
@@ -892,9 +834,9 @@ func (r *Replica) persistUpdateLocked(seq uint64, up retained, wire []byte) {
 // responses rides only on resync checkpoints.
 func updateMsg(seq uint64, from int, up retained, responses map[string][]byte) wireMsg {
 	m := wireMsg{
+		Msg:       core.Msg{RequestID: up.requestID},
 		Seq:       seq,
 		From:      from,
-		RequestID: up.requestID,
 		RespBody:  up.respBody,
 		RespErr:   up.respErr,
 		Responses: responses,
@@ -910,17 +852,6 @@ func updateMsg(seq uint64, from int, up retained, responses map[string][]byte) w
 		m.BaseHash = up.baseHash
 	}
 	return m
-}
-
-// responseBytes signs and encodes the response for a request.
-func (r *Replica) responseBytes(requestID string, c cachedResp) []byte {
-	resp := sig.SignServerResponse(r.cfg.Keys, requestID, c.payload(), r.cfg.Index)
-	return encode(wireMsg{Type: msgResponse, RequestID: requestID, Response: &resp})
-}
-
-// reply signs and sends the response for a request on the given connection.
-func (r *Replica) reply(conn *netsim.Conn, requestID string, c cachedResp) {
-	_ = conn.Send(r.responseBytes(requestID, c))
 }
 
 // handleUpdate applies a primary update (delta or checkpoint) on a backup
@@ -1001,7 +932,7 @@ func (r *Replica) handleUpdate(m wireMsg) []byte {
 		return r.nackDiverged()
 	}
 
-	cached := cachedResp{body: m.RespBody, errMsg: m.RespErr}
+	cached := payload(m.RespBody, m.RespErr)
 	r.mDeltas.Inc()
 	r.mu.Lock()
 	r.seq = m.Seq
@@ -1009,20 +940,17 @@ func (r *Replica) handleUpdate(m wireMsg) []byte {
 	r.primaryIdx = m.From
 	r.lastHeartbeat = time.Now()
 	r.resyncing = false
-	r.cacheRespLocked(m.RequestID, cached)
+	r.replies.Put(m.RequestID, cached)
 	if r.durable {
 		// Journal the installed update so a rebuild over this store resumes
 		// from the applied frontier instead of an empty state.
 		_ = r.store.Append(m.Seq, encode(m))
 	}
-	waiting := r.pending[m.RequestID]
-	delete(r.pending, m.RequestID)
+	waiting := r.replies.Unpark(m.RequestID)
 	ack := r.ackLocked(m.From)
 	r.mu.Unlock()
 
-	for _, w := range waiting {
-		r.reply(w, m.RequestID, cached)
-	}
+	r.signer.Answer(waiting, m.RequestID, cached)
 	return ack
 }
 
@@ -1035,14 +963,6 @@ func (r *Replica) installCheckpoint(m wireMsg, sameStream bool, prevSeq uint64) 
 		// Unusable snapshot: stay put; the primary's stall detector retries.
 		return nil
 	}
-	type answered struct {
-		requestID string
-		resp      cachedResp
-		conns     []*netsim.Conn
-	}
-	var serve []answered
-	var orphaned []*netsim.Conn
-
 	r.mu.Lock()
 	jumped := !sameStream || m.Seq > prevSeq+1
 	r.seq = m.Seq
@@ -1057,15 +977,9 @@ func (r *Replica) installCheckpoint(m wireMsg, sameStream bool, prevSeq uint64) 
 		r.mCkptJumps.Inc()
 	}
 	if m.RequestID != "" {
-		r.cacheRespLocked(m.RequestID, cachedResp{body: m.RespBody, errMsg: m.RespErr})
+		r.replies.Put(m.RequestID, payload(m.RespBody, m.RespErr))
 	}
-	// Sorted merge: with a bounded cache, insertion order decides eviction
-	// order, and map iteration order would make it nondeterministic.
-	for _, id := range sortedKeys(m.Responses) {
-		if _, ok := r.respCache[id]; !ok {
-			r.cacheRespLocked(id, cachedResp{body: m.Responses[id]})
-		}
-	}
+	r.replies.Seed(m.Responses)
 	if r.durable {
 		// The checkpoint message carries everything recovery needs (state,
 		// stream, responses): persist it whole as the snapshot slot and drop
@@ -1075,29 +989,20 @@ func (r *Replica) installCheckpoint(m wireMsg, sameStream bool, prevSeq uint64) 
 			_ = r.store.TruncateTo(store.TruncateAll)
 		}
 	}
-	for id, conns := range r.pending {
-		if cached, ok := r.respCache[id]; ok {
-			delete(r.pending, id)
-			serve = append(serve, answered{id, cached, conns})
-		}
-	}
+	serve := r.replies.UnparkCached()
+	var orphaned []*netsim.Conn
 	if jumped {
 		// The jump skipped requests this checkpoint carries no responses
 		// for: close their parked connections so the requesters resubmit
 		// (the primary answers retries from its cache), exactly as failover
 		// does for requests orphaned by a dead primary.
-		for id, conns := range r.pending {
-			delete(r.pending, id)
-			orphaned = append(orphaned, conns...)
-		}
+		orphaned = r.replies.UnparkAll()
 	}
 	ack := r.ackLocked(m.From)
 	r.mu.Unlock()
 
 	for _, a := range serve {
-		for _, c := range a.conns {
-			r.reply(c, a.requestID, a.resp)
-		}
+		r.signer.Answer(a.Conns, a.RequestID, a.Payload)
 	}
 	for _, c := range orphaned {
 		c.Close()
@@ -1107,7 +1012,7 @@ func (r *Replica) installCheckpoint(m wireMsg, sameStream bool, prevSeq uint64) 
 
 // ackLocked encodes the cumulative applied-frontier ack. Caller holds r.mu.
 func (r *Replica) ackLocked(stream int) []byte {
-	return encode(wireMsg{Type: msgAck, Seq: r.seq, From: r.cfg.Index, Stream: stream})
+	return encode(wireMsg{Msg: core.Msg{Type: msgAck}, Seq: r.seq, From: r.cfg.Index, Stream: stream})
 }
 
 // nackDiverged reports a chain break that no retransmission can repair
@@ -1134,7 +1039,7 @@ func (r *Replica) nackLocked() []byte {
 	}
 	r.resyncing = true
 	r.nackedAt = time.Now()
-	n := encode(wireMsg{Type: msgNack, Seq: r.seq, From: r.cfg.Index, Stream: r.updFrom})
+	n := encode(wireMsg{Msg: core.Msg{Type: msgNack}, Seq: r.seq, From: r.cfg.Index, Stream: r.updFrom})
 	r.mu.Unlock()
 	return n
 }
@@ -1249,17 +1154,13 @@ func (r *Replica) resyncPeer(peer int, from uint64, stream int) {
 	if r.lastSnap == nil {
 		return // nothing executed yet; the first update will checkpoint
 	}
-	responses := make(map[string][]byte, len(r.respCache))
-	for id, c := range r.respCache {
-		responses[id] = c.payload()
-	}
 	r.mResyncCkpt.Inc()
 	r.node.SendTo(peer, encode(wireMsg{
-		Type:      msgCheckpoint,
+		Msg:       core.Msg{Type: msgCheckpoint},
 		Seq:       r.seq,
 		From:      r.cfg.Index,
 		Snapshot:  r.lastSnap,
-		Responses: responses,
+		Responses: r.replies.Copy(),
 	}))
 }
 
@@ -1355,7 +1256,7 @@ func (r *Replica) Tick() {
 
 	switch role {
 	case RolePrimary:
-		r.node.Broadcast(encode(wireMsg{Type: msgHeartbeat, From: r.cfg.Index, Seq: seq}))
+		r.node.Broadcast(encode(wireMsg{Msg: core.Msg{Type: msgHeartbeat}, From: r.cfg.Index, Seq: seq}))
 		for _, s := range stalled {
 			r.resyncPeer(s.peer, s.from, s.stream)
 		}
@@ -1428,7 +1329,7 @@ func (r *Replica) promote(deadPrimary int) {
 
 	if becamePrimary {
 		// Announce immediately so peers stop their own failover timers.
-		r.node.Broadcast(encode(wireMsg{Type: msgHeartbeat, From: r.cfg.Index, Seq: r.Seq()}))
+		r.node.Broadcast(encode(wireMsg{Msg: core.Msg{Type: msgHeartbeat}, From: r.cfg.Index, Seq: r.Seq()}))
 	}
 	// Requests parked waiting for the dead primary's update will never be
 	// answered; close them so requesters resubmit (to the new primary).
@@ -1436,79 +1337,26 @@ func (r *Replica) promote(deadPrimary int) {
 }
 
 // serveParkedRequests answers requests that were parked while this replica
-// was a backup and never got an update from the dead primary.
+// was a backup and never got an update from the dead primary: those whose
+// response is cached get it, the rest are closed so their requesters
+// resubmit (the request body is gone with the parked message; proxies
+// resubmit on timeout, the close makes them notice now).
 func (r *Replica) serveParkedRequests() {
 	r.mu.Lock()
-	parked := r.pending
-	r.pending = make(map[string][]*netsim.Conn)
+	serve := r.replies.UnparkCached()
+	orphaned := r.replies.UnparkAll()
 	r.mu.Unlock()
-	for reqID, conns := range parked {
-		r.mu.Lock()
-		cached, ok := r.respCache[reqID]
-		r.mu.Unlock()
-		if !ok {
-			// The request body is gone with the parked message; requesters
-			// resubmit on timeout (proxies do). Close so they notice now.
-			for _, c := range conns {
-				c.Close()
-			}
-			continue
-		}
-		for _, c := range conns {
-			r.reply(c, reqID, cached)
-		}
+	for _, a := range serve {
+		r.signer.Answer(a.Conns, a.RequestID, a.Payload)
+	}
+	for _, c := range orphaned {
+		c.Close()
 	}
 }
 
-// --- Requester --------------------------------------------------------
-
-// Request sends one request to the replica at addr over net and waits for
-// its signed response. It is the requester-side helper proxies and tests
-// use; from is the caller's network identity.
-func Request(net *netsim.Network, from, addr, requestID string, body []byte, timeout time.Duration) (sig.ServerResponse, error) {
-	return RequestTagged(net, from, addr, requestID, body, false, timeout)
-}
-
-// RequestTagged is Request with an explicit read tag: read requests are
-// eligible for the smr lease-read fast path at the receiving replica (the
-// pb engine serves them through the ordinary primary path regardless).
+// RequestTagged dials the replica at addr and issues one request with an
+// explicit read tag (core.Request without the leased bit).
 func RequestTagged(net *netsim.Network, from, addr, requestID string, body []byte, read bool, timeout time.Duration) (sig.ServerResponse, error) {
-	conn, err := net.Dial(from, addr)
-	if err != nil {
-		return sig.ServerResponse{}, fmt.Errorf("pb: request dial: %w", err)
-	}
-	defer conn.Close()
-	return requestOnTagged(conn, requestID, body, read, timeout)
-}
-
-// RequestOn issues a request on an existing connection and waits for the
-// matching signed response, skipping unrelated traffic.
-func RequestOn(conn *netsim.Conn, requestID string, body []byte, timeout time.Duration) (sig.ServerResponse, error) {
-	return requestOnTagged(conn, requestID, body, false, timeout)
-}
-
-func requestOnTagged(conn *netsim.Conn, requestID string, body []byte, read bool, timeout time.Duration) (sig.ServerResponse, error) {
-	if err := conn.Send(encode(wireMsg{Type: msgRequest, RequestID: requestID, Body: body, Read: read})); err != nil {
-		return sig.ServerResponse{}, fmt.Errorf("pb: request send: %w", err)
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return sig.ServerResponse{}, netsim.ErrTimeout
-		}
-		raw, err := conn.RecvTimeout(remaining)
-		if err != nil {
-			return sig.ServerResponse{}, fmt.Errorf("pb: request recv: %w", err)
-		}
-		var m wireMsg
-		uerr := json.Unmarshal(raw, &m)
-		netsim.Release(raw) // decoded: json copied every field out of raw
-		if uerr != nil {
-			continue
-		}
-		if m.Type == msgResponse && m.RequestID == requestID && m.Response != nil {
-			return *m.Response, nil
-		}
-	}
+	resp, _, err := core.Request(net, from, addr, requestID, body, read, timeout)
+	return resp, err
 }

@@ -8,6 +8,7 @@ import (
 
 	"fortress/internal/metrics"
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/service"
 	"fortress/internal/sig"
 	"fortress/internal/xrand"
@@ -138,17 +139,17 @@ func TestRespCacheBounded(t *testing.T) {
 	net, r := respCacheReplica(t, 4)
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("r%d", i)
-		if _, err := Request(net, "client", r.Addr(), id, kvPut(t, "k", id), reqTimeout); err != nil {
+		if _, _, err := core.Request(net, "client", r.Addr(), id, kvPut(t, "k", id), false, reqTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r.mu.Lock()
-	cached := len(r.respCache)
-	ordered := len(r.respOrder)
-	_, hasOldest := r.respCache["r0"]
-	_, hasEvictEdge := r.respCache["r1"]
-	_, hasSurvivor := r.respCache["r2"]
-	_, hasNewest := r.respCache["r5"]
+	cached := len(r.replies.Copy())
+	ordered := r.replies.Len()
+	_, hasOldest := r.replies.Get("r0")
+	_, hasEvictEdge := r.replies.Get("r1")
+	_, hasSurvivor := r.replies.Get("r2")
+	_, hasNewest := r.replies.Get("r5")
 	r.mu.Unlock()
 	if cached != 4 || ordered != 4 {
 		t.Fatalf("cache holds %d entries (%d ordered), want 4", cached, ordered)
@@ -167,12 +168,12 @@ func TestRespCacheUnboundedWhenNegative(t *testing.T) {
 	net, r := respCacheReplica(t, -1)
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("u%d", i)
-		if _, err := Request(net, "client", r.Addr(), id, kvPut(t, "k", id), reqTimeout); err != nil {
+		if _, _, err := core.Request(net, "client", r.Addr(), id, kvPut(t, "k", id), false, reqTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r.mu.Lock()
-	cached := len(r.respCache)
+	cached := len(r.replies.Copy())
 	r.mu.Unlock()
 	if cached != 6 {
 		t.Fatalf("cache holds %d entries, want all 6", cached)
@@ -181,7 +182,7 @@ func TestRespCacheUnboundedWhenNegative(t *testing.T) {
 
 func TestPrimaryServesSignedResponse(t *testing.T) {
 	net, reps := cluster(t, 3, func(int) service.Service { return service.NewKV() })
-	resp, err := Request(net, "client", reps[0].Addr(), "r1", kvPut(t, "k", "v"), reqTimeout)
+	resp, _, err := core.Request(net, "client", reps[0].Addr(), "r1", kvPut(t, "k", "v"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +207,14 @@ func TestBackupCoSignsAfterUpdate(t *testing.T) {
 	// Ask primary and a backup for the same request, as a proxy would.
 	done := make(chan sig.ServerResponse, 1)
 	go func() {
-		resp, err := Request(net, "proxy-b", reps[1].Addr(), "r1", kvPut(t, "k", "v"), reqTimeout)
+		resp, _, err := core.Request(net, "proxy-b", reps[1].Addr(), "r1", kvPut(t, "k", "v"), false, reqTimeout)
 		if err == nil {
 			done <- resp
 		}
 	}()
 	// Give the backup a moment to park the request, then drive the primary.
 	time.Sleep(10 * time.Millisecond)
-	if _, err := Request(net, "proxy-a", reps[0].Addr(), "r1", kvPut(t, "k", "v"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "proxy-a", reps[0].Addr(), "r1", kvPut(t, "k", "v"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -238,13 +239,13 @@ func TestBackupCoSignsAfterUpdate(t *testing.T) {
 
 func TestBackupRepliesFromCacheOnLateRequest(t *testing.T) {
 	net, reps := cluster(t, 3, func(int) service.Service { return service.NewKV() })
-	if _, err := Request(net, "p", reps[0].Addr(), "r1", kvPut(t, "a", "1"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "p", reps[0].Addr(), "r1", kvPut(t, "a", "1"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return reps[1].Seq() >= 1 })
 	// Now the backup already has the update; a late request is served
 	// immediately from cache.
-	resp, err := Request(net, "p", reps[1].Addr(), "r1", kvPut(t, "a", "1"), reqTimeout)
+	resp, _, err := core.Request(net, "p", reps[1].Addr(), "r1", kvPut(t, "a", "1"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestStateReplicationReachesAllBackups(t *testing.T) {
 	net, reps := cluster(t, 3, func(int) service.Service { return service.NewKV() })
 	for i := 0; i < 5; i++ {
 		reqID := fmt.Sprintf("r%d", i)
-		if _, err := Request(net, "c", reps[0].Addr(), reqID, kvPut(t, fmt.Sprintf("k%d", i), "v"), reqTimeout); err != nil {
+		if _, _, err := core.Request(net, "c", reps[0].Addr(), reqID, kvPut(t, fmt.Sprintf("k%d", i), "v"), false, reqTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,11 +267,11 @@ func TestStateReplicationReachesAllBackups(t *testing.T) {
 
 func TestDuplicateRequestIdempotent(t *testing.T) {
 	net, reps := cluster(t, 3, func(int) service.Service { return service.NewCounter() })
-	r1, err := Request(net, "c", reps[0].Addr(), "dup", []byte("inc"), reqTimeout)
+	r1, _, err := core.Request(net, "c", reps[0].Addr(), "dup", []byte("inc"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Request(net, "c", reps[0].Addr(), "dup", []byte("inc"), reqTimeout)
+	r2, _, err := core.Request(net, "c", reps[0].Addr(), "dup", []byte("inc"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestDuplicateRequestIdempotent(t *testing.T) {
 
 func TestApplicationErrorPropagates(t *testing.T) {
 	net, reps := cluster(t, 3, func(int) service.Service { return service.NewCounter() })
-	resp, err := Request(net, "c", reps[0].Addr(), "bad", []byte("explode"), reqTimeout)
+	resp, _, err := core.Request(net, "c", reps[0].Addr(), "bad", []byte("explode"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestApplicationErrorPropagates(t *testing.T) {
 
 func TestFailoverPromotesNextIndex(t *testing.T) {
 	net, reps := cluster(t, 3, func(int) service.Service { return service.NewKV() })
-	if _, err := Request(net, "c", reps[0].Addr(), "r1", kvPut(t, "k", "v1"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", reps[0].Addr(), "r1", kvPut(t, "k", "v1"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return reps[1].Seq() == 1 && reps[2].Seq() == 1 })
@@ -301,7 +302,7 @@ func TestFailoverPromotesNextIndex(t *testing.T) {
 	waitFor(t, func() bool { return reps[1].Role() == RolePrimary })
 
 	// The new primary serves with the preserved state.
-	resp, err := Request(net, "c", reps[1].Addr(), "r2", kvGet(t, "k"), reqTimeout)
+	resp, _, err := core.Request(net, "c", reps[1].Addr(), "r2", kvGet(t, "k"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,19 +319,19 @@ func TestFailoverPromotesNextIndex(t *testing.T) {
 
 func TestDoubleFailover(t *testing.T) {
 	net, reps := cluster(t, 3, func(int) service.Service { return service.NewCounter() })
-	if _, err := Request(net, "c", reps[0].Addr(), "a", []byte("add 5"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", reps[0].Addr(), "a", []byte("add 5"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return reps[1].Seq() == 1 && reps[2].Seq() == 1 })
 	reps[0].Crash()
 	waitFor(t, func() bool { return reps[1].Role() == RolePrimary })
-	if _, err := Request(net, "c", reps[1].Addr(), "b", []byte("add 2"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", reps[1].Addr(), "b", []byte("add 2"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return reps[2].Seq() == 2 })
 	reps[1].Crash()
 	waitFor(t, func() bool { return reps[2].Role() == RolePrimary })
-	resp, err := Request(net, "c", reps[2].Addr(), "c", []byte("read"), reqTimeout)
+	resp, _, err := core.Request(net, "c", reps[2].Addr(), "c", []byte("read"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,13 +347,13 @@ func TestNondeterministicServiceReplicatesFine(t *testing.T) {
 	net, reps := cluster(t, 3, func(i int) service.Service {
 		return service.NewNondet(service.NewCounter(), rng.Split())
 	})
-	if _, err := Request(net, "c", reps[0].Addr(), "n1", []byte("add 3"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", reps[0].Addr(), "n1", []byte("add 3"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return reps[1].Seq() == 1 && reps[2].Seq() == 1 })
 	reps[0].Crash()
 	waitFor(t, func() bool { return reps[1].Role() == RolePrimary })
-	resp, err := Request(net, "c", reps[1].Addr(), "n2", []byte("read"), reqTimeout)
+	resp, _, err := core.Request(net, "c", reps[1].Addr(), "n2", []byte("read"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestNondeterministicServiceReplicatesFine(t *testing.T) {
 func TestRequestToCrashedReplicaFails(t *testing.T) {
 	net, reps := cluster(t, 3, func(int) service.Service { return service.NewKV() })
 	reps[2].Crash()
-	if _, err := Request(net, "c", reps[2].Addr(), "x", kvGet(t, "k"), 100*time.Millisecond); err == nil {
+	if _, _, err := core.Request(net, "c", reps[2].Addr(), "x", kvGet(t, "k"), false, 100*time.Millisecond); err == nil {
 		t.Fatal("request to crashed replica succeeded")
 	}
 }
@@ -446,7 +447,7 @@ func BenchmarkPrimaryRequest(b *testing.B) {
 	body := []byte(`{"op":"put","key":"k","value":"v"}`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RequestOn(conn, fmt.Sprintf("b%d", i), body, 5*time.Second); err != nil {
+		if _, _, err := core.RequestOn(conn, fmt.Sprintf("b%d", i), body, false, 5*time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -459,7 +460,7 @@ func BenchmarkPrimaryRequest(b *testing.B) {
 // for traffic to wake their serving goroutines.
 func TestStopTerminatesWithIdleInboundConns(t *testing.T) {
 	net, replicas := cluster(t, 3, func(int) service.Service { return service.NewKV() })
-	if _, err := Request(net, "client", replicas[0].Addr(), "w1", kvPut(t, "k", "v"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "client", replicas[0].Addr(), "w1", kvPut(t, "k", "v"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range replicas {
@@ -478,7 +479,7 @@ func TestStopTerminatesWithIdleInboundConns(t *testing.T) {
 // keeps its response cache and sequence number.
 func TestRestartAfterCrash(t *testing.T) {
 	net, rs := cluster(t, 1, func(int) service.Service { return service.NewKV() })
-	orig, err := Request(net, "c", rs[0].Addr(), "w1", kvPut(t, "k", "v"), reqTimeout)
+	orig, _, err := core.Request(net, "c", rs[0].Addr(), "w1", kvPut(t, "k", "v"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,14 +497,14 @@ func TestRestartAfterCrash(t *testing.T) {
 	}
 	// The response cache survived: a duplicate of the pre-crash request is
 	// answered from cache, and fresh requests execute against retained state.
-	resp, err := Request(net, "c", rs[0].Addr(), "w1", nil, reqTimeout)
+	resp, _, err := core.Request(net, "c", rs[0].Addr(), "w1", nil, false, reqTimeout)
 	if err != nil {
 		t.Fatalf("cached request after restart: %v", err)
 	}
 	if string(resp.Body) != string(orig.Body) {
 		t.Fatalf("cached response %q, want %q", resp.Body, orig.Body)
 	}
-	resp, err = Request(net, "c", rs[0].Addr(), "r1", kvGet(t, "k"), reqTimeout)
+	resp, _, err = core.Request(net, "c", rs[0].Addr(), "r1", kvGet(t, "k"), false, reqTimeout)
 	if err != nil {
 		t.Fatalf("fresh request after restart: %v", err)
 	}
@@ -527,7 +528,7 @@ func TestRestartOfRunningReplicaErrors(t *testing.T) {
 // as a backup and resyncs from the primary's next update.
 func TestRestartRejoinsAsBackup(t *testing.T) {
 	net, rs := cluster(t, 2, func(int) service.Service { return service.NewKV() })
-	if _, err := Request(net, "c", rs[0].Addr(), "w1", kvPut(t, "k", "v1"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", rs[0].Addr(), "w1", kvPut(t, "k", "v1"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	rs[1].Crash()
@@ -537,7 +538,7 @@ func TestRestartRejoinsAsBackup(t *testing.T) {
 	if rs[1].Role() != RoleBackup {
 		t.Fatalf("restarted replica role %v, want backup", rs[1].Role())
 	}
-	if _, err := Request(net, "c", rs[0].Addr(), "w2", kvPut(t, "k", "v2"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", rs[0].Addr(), "w2", kvPut(t, "k", "v2"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	// The update that carried w2 resynced the restarted backup.
@@ -591,13 +592,13 @@ func TestDeltaCapableFastPathConverges(t *testing.T) {
 	}
 	// The first update anchors the fresh backup with a checkpoint; every
 	// jump after that would mean a spliced delta diverged.
-	if _, err := Request(net, "c", replicas[0].Addr(), ops[0].id, ops[0].body, reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", replicas[0].Addr(), ops[0].id, ops[0].body, false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return replicas[1].Seq() == 1 })
 	anchors := replicas[1].CheckpointJumps()
 	for _, op := range ops[1:] {
-		if _, err := Request(net, "c", replicas[0].Addr(), op.id, op.body, reqTimeout); err != nil {
+		if _, _, err := core.Request(net, "c", replicas[0].Addr(), op.id, op.body, false, reqTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -610,11 +611,11 @@ func TestDeltaCapableFastPathConverges(t *testing.T) {
 	}
 	// Execute a read on the primary, then fetch it from the backup's
 	// replicated cache: the backup co-signs the same state the primary saw.
-	if _, err := Request(net, "c", replicas[0].Addr(), "r2", kvGet(t, "k9"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", replicas[0].Addr(), "r2", kvGet(t, "k9"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return replicas[1].Seq() == replicas[0].Seq() })
-	resp, err := Request(net, "c", replicas[1].Addr(), "r2", kvGet(t, "k9"), reqTimeout)
+	resp, _, err := core.Request(net, "c", replicas[1].Addr(), "r2", kvGet(t, "k9"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +658,7 @@ func TestOutboxShedTriggersCheckpointResync(t *testing.T) {
 		replicas[i] = r
 		t.Cleanup(r.Stop)
 	}
-	if _, err := Request(net, "c", replicas[0].Addr(), "w0", kvPut(t, "k", "v0"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", replicas[0].Addr(), "w0", kvPut(t, "k", "v0"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return replicas[1].Seq() == 1 })
@@ -667,7 +668,7 @@ func TestOutboxShedTriggersCheckpointResync(t *testing.T) {
 	replicas[1].Crash()
 	for i := 1; i <= 8; i++ {
 		id := fmt.Sprintf("w%d", i)
-		if _, err := Request(net, "c", replicas[0].Addr(), id, kvPut(t, "k", "v"+id), reqTimeout); err != nil {
+		if _, _, err := core.Request(net, "c", replicas[0].Addr(), id, kvPut(t, "k", "v"+id), false, reqTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -710,7 +711,7 @@ func TestRejoinResetsAckStallClock(t *testing.T) {
 // stale state.
 func TestRestartedInitialPrimaryDoesNotReclaimRole(t *testing.T) {
 	net, rs := cluster(t, 2, func(int) service.Service { return service.NewKV() })
-	if _, err := Request(net, "c", rs[0].Addr(), "w1", kvPut(t, "k", "v1"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", rs[0].Addr(), "w1", kvPut(t, "k", "v1"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	rs[0].Crash()
@@ -729,7 +730,7 @@ func TestRestartedInitialPrimaryDoesNotReclaimRole(t *testing.T) {
 	}
 	// Commit a write through the successor; the restarted node must adopt it
 	// and resync rather than demote it.
-	if _, err := Request(net, "c", rs[1].Addr(), "w2", kvPut(t, "k", "v2"), reqTimeout); err != nil {
+	if _, _, err := core.Request(net, "c", rs[1].Addr(), "w2", kvPut(t, "k", "v2"), false, reqTimeout); err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(2 * time.Second)

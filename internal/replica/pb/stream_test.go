@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/service"
 	"fortress/internal/sig"
 	"fortress/internal/xrand"
@@ -61,8 +62,8 @@ func writeN(t *testing.T, net *netsim.Network, primary *Replica, base, n int) {
 		body := kvPut(t, key, fmt.Sprintf("v%d", base+i))
 		var err error
 		for attempt := 0; attempt < 10; attempt++ {
-			if _, err = Request(net, "c", primary.Addr(), fmt.Sprintf("w%d", base+i),
-				body, 500*time.Millisecond); err == nil {
+			if _, _, err = core.Request(net, "c", primary.Addr(), fmt.Sprintf("w%d", base+i),
+				body, false, 500*time.Millisecond); err == nil {
 				break
 			}
 		}
@@ -146,11 +147,11 @@ func TestAckForAlreadyCheckpointedDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(encode(wireMsg{Type: msgAck, Seq: 1, From: 1, Stream: 0})); err != nil {
+	if err := conn.Send(encode(wireMsg{Msg: core.Msg{Type: msgAck}, Seq: 1, From: 1, Stream: 0})); err != nil {
 		t.Fatal(err)
 	}
 	// An ack far beyond anything sent must be equally harmless.
-	if err := conn.Send(encode(wireMsg{Type: msgAck, Seq: 1 << 40, From: 2, Stream: 0})); err != nil {
+	if err := conn.Send(encode(wireMsg{Msg: core.Msg{Type: msgAck}, Seq: 1 << 40, From: 2, Stream: 0})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -233,7 +234,7 @@ func TestResyncFallsBackToCheckpoint(t *testing.T) {
 
 	// The checkpoint carried the response cache: a duplicate of a request
 	// the backup jumped over is answered from cache, not re-parked.
-	resp, err := Request(net, "c", reps[1].Addr(), "w6", nil, reqTimeout)
+	resp, _, err := core.Request(net, "c", reps[1].Addr(), "w6", nil, false, reqTimeout)
 	if err != nil {
 		t.Fatalf("jumped-over request not answerable from cache: %v", err)
 	}
@@ -282,8 +283,8 @@ func TestUpdateStreamStopCrashRace(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 40; i++ {
 			// Ignore errors: the primary may be mid-shutdown below.
-			_, _ = Request(net, "c", reps[0].Addr(), fmt.Sprintf("race%d", i),
-				kvPut(t, fmt.Sprintf("k%d", i%4), "v"), 200*time.Millisecond)
+			_, _, _ = core.Request(net, "c", reps[0].Addr(), fmt.Sprintf("race%d", i),
+				kvPut(t, fmt.Sprintf("k%d", i%4), "v"), false, 200*time.Millisecond)
 		}
 	}()
 	for i := 0; i < 4; i++ {

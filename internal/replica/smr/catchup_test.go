@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/service"
 	"fortress/internal/sig"
 )
@@ -86,7 +87,7 @@ func TestCatchupAfterCrashRestartSuffix(t *testing.T) {
 	// The replayed suffix also rebuilt the response cache: a request that
 	// was sequenced while the replica was down is answered from cache when
 	// asked directly.
-	resp, err := request(net, "late-client", reps[2].Addr(), "r7", []byte("inc"), reqTimeout)
+	resp, _, err := core.Request(net, "late-client", reps[2].Addr(), "r7", []byte("inc"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCatchupSnapshotTransfersResponseCache(t *testing.T) {
 
 	// r5 was executed (as the sixth increment) while replica 2 was down
 	// and arrived here only inside the snapshot jump.
-	resp, err := request(net, "retry-client", reps[2].Addr(), "r5", []byte("inc"), reqTimeout)
+	resp, _, err := core.Request(net, "retry-client", reps[2].Addr(), "r5", []byte("inc"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestSequenceDedupsExecutedRequests(t *testing.T) {
 	waitFor(t, func() bool { return reps[1].IsLeader() })
 
 	// A lagging replica retries r1 by forwarding it to the new leader
-	// (its own respCache would miss after a snapshot-less rebuild). The
+	// (its own reply table would miss after a snapshot-less rebuild). The
 	// leader executed r1 at its original sequence number and must not
 	// order it again.
 	conn, err := net.Dial("laggard", reps[1].Addr())
@@ -231,7 +232,7 @@ func TestSequenceDedupsExecutedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(encode(wireMsg{Type: msgForward, RequestID: "r1", Body: []byte("inc"), From: 2})); err != nil {
+	if err := conn.Send(encode(wireMsg{Msg: core.Msg{Type: msgForward, RequestID: "r1", Body: []byte("inc")}, From: 2})); err != nil {
 		t.Fatal(err)
 	}
 	// Drive a fresh request through to prove the leader is live, then

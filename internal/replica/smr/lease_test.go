@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/service"
 	"fortress/internal/sig"
 )
@@ -117,7 +118,7 @@ func TestLeaseReadServedLocally(t *testing.T) {
 		return true
 	})
 	before := reps[0].Executed()
-	resp, leased, err := requestTagged(net, "rc", reps[2].Addr(), "lr1", kvGet(t, "k"), true, reqTimeout)
+	resp, leased, err := core.Request(net, "rc", reps[2].Addr(), "lr1", kvGet(t, "k"), true, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestMisTaggedWriteStillOrdered(t *testing.T) {
 		func(int) service.Service { return service.NewCounter() },
 		func(c *Config) { c.Leases = true })
 	waitFor(t, func() bool { return reps[1].LeaseValid() })
-	resp, leased, err := requestTagged(net, "rc", reps[1].Addr(), "mt1", []byte("inc"), true, reqTimeout)
+	resp, leased, err := core.Request(net, "rc", reps[1].Addr(), "mt1", []byte("inc"), true, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestLeaseExpiresUnderPartition(t *testing.T) {
 	// The test client's address is not in the partition, so the request
 	// reaches the follower; with no valid lease the follower must fall back
 	// to ordering, which cannot complete across the cut.
-	_, leased, err := requestTagged(net, "rc", reps[3].Addr(), "pr1", kvGet(t, "k"), true, 300*time.Millisecond)
+	_, leased, err := core.Request(net, "rc", reps[3].Addr(), "pr1", kvGet(t, "k"), true, 300*time.Millisecond)
 	if err == nil && leased {
 		t.Fatal("partitioned follower served a lease read after expiry")
 	}
@@ -213,7 +214,7 @@ func TestLeaseExpiresUnderPartition(t *testing.T) {
 	}
 	waitExecuted(t, reps, 2)
 	waitFor(t, func() bool { return reps[3].LeaseValid() })
-	resp, leased, err := requestTagged(net, "rc", reps[3].Addr(), "pr2", kvGet(t, "k"), true, reqTimeout)
+	resp, leased, err := core.Request(net, "rc", reps[3].Addr(), "pr2", kvGet(t, "k"), true, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestLeaderLeaseRequiresQuorumAcks(t *testing.T) {
 	defer net.HealAll()
 	waitFor(t, func() bool { return !reps[0].LeaseValid() })
 
-	_, leased, err := requestTagged(net, "rc", reps[0].Addr(), "ql1", kvGet(t, "k"), true, reqTimeout)
+	_, leased, err := core.Request(net, "rc", reps[0].Addr(), "ql1", kvGet(t, "k"), true, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestMonotonicReadsAcrossLeaderCrash(t *testing.T) {
 	for i, r := range live {
 		r := r
 		waitFor(t, func() bool { return r.LeaseValid() })
-		resp, leased, err := requestTagged(net, fmt.Sprintf("rc-%d", i), r.Addr(),
+		resp, leased, err := core.Request(net, fmt.Sprintf("rc-%d", i), r.Addr(),
 			fmt.Sprintf("mono-%d", i), kvGet(t, "k"), true, reqTimeout)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/replica/store"
 	"fortress/internal/service"
 	"fortress/internal/sig"
@@ -14,15 +15,16 @@ import (
 func respCacheState(r *Replica) (cached, order int, ids map[string]bool, orderedIDs map[string]bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ids = make(map[string]bool, len(r.respCache))
-	for id := range r.respCache {
+	payloads := r.replies.Copy()
+	ids = make(map[string]bool, len(payloads))
+	for id := range payloads {
 		ids[id] = true
 	}
 	orderedIDs = make(map[string]bool, len(r.ordered))
 	for id := range r.ordered {
 		orderedIDs[id] = true
 	}
-	return len(r.respCache), len(r.respOrder), ids, orderedIDs
+	return len(payloads), r.replies.Len(), ids, orderedIDs
 }
 
 // TestRespCacheBounded: with RespCacheLimit set, every replica retains only
@@ -149,7 +151,7 @@ func singleReplica(t *testing.T, net *netsim.Network, st store.Store, customize 
 }
 
 // TestSeededReplicaNotMistakenForVirgin pins the virgin-detection fix for
-// the bounded cache era: RecoverFromStore must gate on respSeen (insertions
+// the bounded cache era: RecoverFromStore must gate on Seen (insertions
 // ever), not on the cache's current size — a replica seeded with initial
 // responses has protocol state even if eviction later empties its cache,
 // and must not be re-anchored on a disk snapshot over that state.
@@ -167,7 +169,7 @@ func TestSeededReplicaNotMistakenForVirgin(t *testing.T) {
 	net := netsim.NewNetwork()
 	r1 := singleReplica(t, net, open(), nil)
 	for i := 0; i < 3; i++ {
-		if _, err := request(net, "c", r1.Addr(), fmt.Sprintf("w%d", i), []byte("inc"), reqTimeout); err != nil {
+		if _, _, err := core.Request(net, "c", r1.Addr(), fmt.Sprintf("w%d", i), []byte("inc"), false, reqTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +177,7 @@ func TestSeededReplicaNotMistakenForVirgin(t *testing.T) {
 	r1.Stop()
 
 	// A donor-seeded replacement over the same store: it carries initial
-	// responses (respSeen > 0), so disk recovery must leave it untouched
+	// responses (Seen() > 0), so disk recovery must leave it untouched
 	// even though its executed counter still reads zero.
 	r2 := singleReplica(t, netsim.NewNetwork(), open(), func(c *Config) {
 		c.Addr, c.Peers = "solo2", map[int]string{0: "solo2"}
@@ -186,10 +188,10 @@ func TestSeededReplicaNotMistakenForVirgin(t *testing.T) {
 		t.Fatalf("seeded replica recovered from store anyway: executed = %d, want 0", got)
 	}
 	r2.mu.Lock()
-	seen, cached := r2.respSeen, len(r2.respCache)
+	seen, cached := r2.replies.Seen(), r2.replies.Len()
 	r2.mu.Unlock()
 	if seen != 2 || cached != 1 {
-		t.Fatalf("seed accounting: respSeen = %d (want 2), cached = %d (want 1)", seen, cached)
+		t.Fatalf("seed accounting: Seen() = %d (want 2), cached = %d (want 1)", seen, cached)
 	}
 	r2.Stop()
 

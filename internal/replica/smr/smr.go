@@ -66,11 +66,11 @@ var (
 	ErrNoQuorum = errors.New("smr: no f+1 matching responses")
 )
 
+// wire message types exchanged between replicas; client requests and
+// responses are core.MsgRequest and core.MsgResponse.
 const (
-	msgRequest     = "request"      // client → replica
 	msgForward     = "forward"      // follower → leader: please order this
 	msgOrder       = "order"        // leader → all: execute at sequence
-	msgResponse    = "response"     // replica → client
 	msgHeartbeat   = "heartbeat"    // leader → followers (carries the executed frontier)
 	msgLeaseAck    = "lease-ack"    // follower → leader: granting heartbeat acknowledged (duplex reply)
 	msgCatchupReq  = "catchup-req"  // lagging replica → leader: transfer from Seq
@@ -84,24 +84,14 @@ type wireLogEntry struct {
 	Body      []byte `json:"body,omitempty"`
 }
 
+// wireMsg is the replica wire format: the shared request edge (type,
+// request ID, body, read tag, signed response, leased marker) plus the
+// order protocol. Orders and forwards carry the sequenced request's ID and
+// body.
 type wireMsg struct {
-	Type      string              `json:"type"`
-	RequestID string              `json:"requestId,omitempty"`
-	Body      []byte              `json:"body,omitempty"`
-	Seq       uint64              `json:"seq,omitempty"`
-	From      int                 `json:"from,omitempty"`
-	Response  *sig.ServerResponse `json:"response,omitempty"`
-	// Read tags a request the client believes is a pure read, making it
-	// eligible for the lease-read fast path. The tag alone never skips
-	// ordering: the replica also asks the hosted service to classify the
-	// body (service.IsReadOnly), so a mis-tagged write still sequences.
-	Read bool `json:"read,omitempty"`
-	// Leased marks a response served locally under a valid read lease.
-	// Clients use it to decide what a single signature is worth: a leased
-	// answer is backed by the lease machinery (quorum-acked self-lease or a
-	// grant-frontier check), while an unleased answer went through ordering
-	// on one replica's say-so and should be cross-checked by the f+1 vote.
-	Leased bool `json:"leased,omitempty"`
+	core.Msg
+	Seq  uint64 `json:"seq,omitempty"`
+	From int    `json:"from,omitempty"`
 	// Snapshot, Entries and Responses carry a catch-up transfer: Snapshot
 	// (when present) positions the receiver at sequence Seq in one jump,
 	// Entries is the ordered log suffix the receiver replays through its
@@ -112,6 +102,9 @@ type wireMsg struct {
 	Entries   []wireLogEntry    `json:"entries,omitempty"`
 	Responses map[string][]byte `json:"responses,omitempty"`
 }
+
+// decoder decodes every wireMsg the replica receives.
+var decoder core.Decoder[wireMsg]
 
 func encode(m wireMsg) []byte {
 	b, err := json.Marshal(m)
@@ -128,10 +121,6 @@ const defaultCatchupHistory = 512
 // defaultSnapshotEvery is the persisted-snapshot cadence when
 // Config.SnapshotEvery is zero.
 const defaultSnapshotEvery = 32
-
-// defaultRespCacheLimit is the response-cache retention bound when
-// Config.RespCacheLimit is zero — the same retry horizon pb uses.
-const defaultRespCacheLimit = 4096
 
 // storeSnapshot is the composite persisted in the store's snapshot slot: the
 // service state at the covered frontier plus the response cache, so a
@@ -270,8 +259,9 @@ type orderEntry struct {
 // Replica is one SMR replica: the order-protocol handler mounted on a
 // core.Node runtime.
 type Replica struct {
-	cfg  Config
-	node *core.Node
+	cfg    Config
+	node   *core.Node
+	signer core.Signer
 
 	// store is the persistence layer; durable caches store.Durable() so the
 	// zero-persistence configuration skips record encoding entirely.
@@ -290,15 +280,14 @@ type Replica struct {
 	nextExec   uint64 // everyone: next sequence number to execute
 	log        map[uint64]orderEntry
 	ordered    map[string]bool // request IDs already sequenced (leader)
-	respCache  map[string][]byte
-	// respOrder tracks respCache insertion order for retry-horizon
-	// eviction (respLimit entries retained; 0 = unbounded); respSeen
-	// counts every insertion ever, so an evicted-empty cache is still
-	// distinguishable from a virgin one.
-	respOrder     []string
-	respLimit     int
-	respSeen      uint64
-	pending       map[string][]*netsim.Conn
+	// replies holds executed requests' response payloads (the retry
+	// horizon) and the client connections parked on requests not yet
+	// executed here. Its eviction also drops the evicted ID from ordered:
+	// a request retried beyond the horizon re-enters the order protocol,
+	// the same contract pb's bounded cache keeps. Only executed requests
+	// reach the cache, so in-flight sequenced IDs are never evicted from
+	// ordered.
+	replies       core.ReplyTable
 	suspected     map[int]bool
 	lastHeartbeat time.Time
 	// Read-lease state. A follower's lease is the last granting heartbeat:
@@ -358,16 +347,10 @@ func New(cfg Config) (*Replica, error) {
 	if snapEvery == 0 {
 		snapEvery = defaultSnapshotEvery
 	}
-	respLimit := cfg.RespCacheLimit
-	switch {
-	case respLimit == 0:
-		respLimit = defaultRespCacheLimit
-	case respLimit < 0:
-		respLimit = 0 // unbounded
-	}
 	next := cfg.InitialExecuted + 1
 	r := &Replica{
 		cfg:        cfg,
+		signer:     core.Signer{Keys: cfg.Keys, Index: cfg.Index},
 		store:      st,
 		durable:    st.Durable(),
 		snapEvery:  uint64(snapEvery),
@@ -377,9 +360,7 @@ func New(cfg Config) (*Replica, error) {
 		hist:       core.NewWindow[orderEntry](next, histKeep),
 		log:        make(map[uint64]orderEntry),
 		ordered:    make(map[string]bool, len(cfg.InitialResponses)),
-		respCache:  make(map[string][]byte, len(cfg.InitialResponses)),
-		respLimit:  respLimit,
-		pending:    make(map[string][]*netsim.Conn),
+		replies:    core.NewReplyTable(cfg.RespCacheLimit),
 		suspected:  make(map[int]bool),
 		leaseFrom:  leaderUnknown,
 		leaseAcks:  make(map[int]time.Time),
@@ -396,10 +377,7 @@ func New(cfg Config) (*Replica, error) {
 		r.gExecuted = reg.Gauge("smr_executed_frontier" + node)
 		r.trace = reg.Ring(cfg.Addr, 0)
 	}
-	for _, id := range sortedIDs(cfg.InitialResponses) {
-		r.cacheRespLocked(id, cfg.InitialResponses[id])
-		r.ordered[id] = true
-	}
+	r.seedRepliesLocked(cfg.InitialResponses)
 	if cfg.JoinExisting && len(cfg.Peers) > 1 {
 		r.leaderIdx = leaderUnknown
 	}
@@ -425,38 +403,19 @@ func New(cfg Config) (*Replica, error) {
 	return r, nil
 }
 
-// sortedIDs returns the map's keys in sorted order, so bulk insertions into
-// the bounded response cache assign deterministic eviction positions no
-// matter the map iteration order.
-func sortedIDs(m map[string][]byte) []string {
-	ids := make([]string, 0, len(m))
+// seedRepliesLocked bulk-inserts transferred response payloads (a seed,
+// a recovered snapshot, a catch-up transfer) and marks every ID in m as
+// sequenced, so retries of requests this replica never ordered itself hit
+// the cache instead of re-entering the order protocol. IDs the table
+// evicted along the way leave ordered too. Caller holds r.mu.
+func (r *Replica) seedRepliesLocked(m map[string][]byte) {
 	for id := range m {
-		ids = append(ids, id)
+		r.ordered[id] = true
 	}
-	sort.Strings(ids)
-	return ids
-}
-
-// cacheRespLocked records a response and evicts past the retry horizon in
-// insertion order, dropping the evicted IDs from the leader's dedup map
-// too — a request retried beyond the horizon re-enters the order protocol,
-// the same contract pb's bounded cache keeps. Only executed requests reach
-// the cache, so in-flight sequenced IDs are never evicted from ordered.
-// Caller holds r.mu.
-func (r *Replica) cacheRespLocked(id string, body []byte) {
-	if _, ok := r.respCache[id]; !ok {
-		r.respOrder = append(r.respOrder, id)
-		r.respSeen++
-	}
-	r.respCache[id] = body
-	if r.respLimit <= 0 {
-		return
-	}
-	for len(r.respOrder) > r.respLimit {
-		evicted := r.respOrder[0]
-		r.respOrder = r.respOrder[1:]
-		delete(r.respCache, evicted)
-		delete(r.ordered, evicted)
+	for _, id := range r.replies.Seed(m) {
+		if _, ok := r.replies.Get(id); !ok {
+			delete(r.ordered, id)
+		}
 	}
 }
 
@@ -514,10 +473,7 @@ func (r *Replica) StateTransfer() (snapshot []byte, executed uint64, responses m
 	defer r.execMu.Unlock()
 	r.mu.Lock()
 	executed = r.nextExec - 1
-	responses = make(map[string][]byte, len(r.respCache))
-	for id, body := range r.respCache {
-		responses[id] = body
-	}
+	responses = r.replies.Copy()
 	r.mu.Unlock()
 	snapshot, err = r.cfg.Service.Snapshot()
 	if err != nil {
@@ -563,7 +519,7 @@ func (r *Replica) Rejoin() {
 	}
 	r.suspected = make(map[int]bool)
 	// Parked clients were disconnected by the shutdown; they resubmit.
-	r.pending = make(map[string][]*netsim.Conn)
+	r.replies.UnparkAll()
 	r.catchupFor = 0
 	r.lastHeartbeat = time.Now()
 	// Any lease predates the outage: revoked until the next grant.
@@ -597,11 +553,11 @@ func (r *Replica) RecoverFromStore() error {
 	r.execMu.Lock()
 	defer r.execMu.Unlock()
 	r.mu.Lock()
-	// respSeen, not len(respCache): a long-lived node whose bounded cache
-	// happens to be empty (or fully evicted) has still executed or been
-	// seeded — it must not be mistaken for a fresh node and anchored on
-	// the disk snapshot over its live protocol state.
-	virgin := r.nextExec == 1 && r.nextAssign == 1 && r.respSeen == 0
+	// Seen, not Len: a long-lived node whose bounded cache happens to be
+	// empty (or fully evicted) has still executed or been seeded — it must
+	// not be mistaken for a fresh node and anchored on the disk snapshot
+	// over its live protocol state.
+	virgin := r.nextExec == 1 && r.nextAssign == 1 && r.replies.Seen() == 0
 	r.mu.Unlock()
 	if !virgin {
 		return nil
@@ -658,10 +614,7 @@ func (r *Replica) RecoverFromStore() error {
 	for _, e := range replayed {
 		r.hist.Append(e)
 	}
-	for _, id := range sortedIDs(resps) {
-		r.cacheRespLocked(id, resps[id])
-		r.ordered[id] = true
-	}
+	r.seedRepliesLocked(resps)
 	if rec.HasSnapshot {
 		r.persistedSnap = rec.SnapshotSeq
 	}
@@ -675,12 +628,12 @@ func (r *Replica) RecoverFromStore() error {
 
 // HandleMessage implements core.Handler: one decoded wire message.
 func (r *Replica) HandleMessage(conn *netsim.Conn, raw []byte, replies [][]byte) [][]byte {
-	var m wireMsg
-	if json.Unmarshal(raw, &m) != nil {
+	m, err := decoder.Decode(raw)
+	if err != nil {
 		return replies
 	}
 	switch m.Type {
-	case msgRequest:
+	case core.MsgRequest:
 		r.handleRequest(conn, m)
 	case msgForward:
 		r.handleForward(m)
@@ -712,8 +665,8 @@ func (r *Replica) HandleMessage(conn *netsim.Conn, raw []byte, replies [][]byte)
 // link. For smr that is the leader answering a catch-up request staged on
 // its outbox connection.
 func (r *Replica) HandlePeerReply(peer int, raw []byte) {
-	var m wireMsg
-	if json.Unmarshal(raw, &m) != nil {
+	m, err := decoder.Decode(raw)
+	if err != nil {
 		return
 	}
 	switch m.Type {
@@ -813,7 +766,7 @@ func (r *Replica) tryServeRead(conn *netsim.Conn, m wireMsg) bool {
 		body = []byte("error: " + err.Error())
 	}
 	r.mLeaseReads.Inc()
-	r.replyTagged(conn, m.RequestID, body, true)
+	_ = conn.Send(r.signer.Reply(m.RequestID, body, true))
 	return true
 }
 
@@ -828,12 +781,12 @@ func (r *Replica) handleRequest(conn *netsim.Conn, m wireMsg) {
 		r.mOrderedReads.Inc()
 	}
 	r.mu.Lock()
-	if body, ok := r.respCache[m.RequestID]; ok {
+	if body, ok := r.replies.Get(m.RequestID); ok {
 		r.mu.Unlock()
-		r.reply(conn, m.RequestID, body)
+		_ = conn.Send(r.signer.Reply(m.RequestID, body, false))
 		return
 	}
-	r.pending[m.RequestID] = append(r.pending[m.RequestID], conn)
+	r.replies.Park(m.RequestID, conn)
 	isLeader := r.leaderIdx == r.cfg.Index
 	leader := r.leaderIdx
 	r.mu.Unlock()
@@ -846,7 +799,7 @@ func (r *Replica) handleRequest(conn *netsim.Conn, m wireMsg) {
 	// the request to the leader directly, so this is belt-and-braces that
 	// makes progress even if the client reached only this replica.
 	r.node.SendTo(leader, encode(wireMsg{
-		Type: msgForward, RequestID: m.RequestID, Body: m.Body, From: r.cfg.Index,
+		Msg: core.Msg{Type: msgForward, RequestID: m.RequestID, Body: m.Body}, From: r.cfg.Index,
 	}))
 }
 
@@ -870,7 +823,7 @@ func (r *Replica) sequence(requestID string, body []byte) {
 		r.mu.Unlock()
 		return
 	}
-	if _, executed := r.respCache[requestID]; executed {
+	if _, executed := r.replies.Get(requestID); executed {
 		// Already executed under a previous sequencer's number (this node
 		// was a follower then, so its ordered map never saw it). A retry
 		// forwarded by a lagging replica must not re-enter the order under
@@ -884,7 +837,7 @@ func (r *Replica) sequence(requestID string, body []byte) {
 	r.nextAssign++
 	r.mu.Unlock()
 
-	order := wireMsg{Type: msgOrder, RequestID: requestID, Body: body, Seq: seq, From: r.cfg.Index}
+	order := wireMsg{Msg: core.Msg{Type: msgOrder, RequestID: requestID, Body: body}, Seq: seq, From: r.cfg.Index}
 	r.node.Broadcast(encode(order))
 	r.node.Flush()
 	r.handleOrder(order) // execute locally
@@ -962,10 +915,11 @@ func (r *Replica) executeReady() {
 			}
 		}
 		r.mu.Lock()
-		r.cacheRespLocked(entry.requestID, respBody)
+		if evicted, ok := r.replies.Put(entry.requestID, respBody); ok {
+			delete(r.ordered, evicted)
+		}
 		r.recordHistLocked(entry)
-		conns := r.pending[entry.requestID]
-		delete(r.pending, entry.requestID)
+		conns := r.replies.Unpark(entry.requestID)
 		r.mu.Unlock()
 		ready = append(ready, executed{entry.requestID, respBody, conns})
 	}
@@ -979,9 +933,7 @@ func (r *Replica) executeReady() {
 	}
 
 	for _, e := range ready {
-		for _, c := range e.conns {
-			r.reply(c, e.requestID, e.respBody)
-		}
+		r.signer.Answer(e.conns, e.requestID, e.respBody)
 	}
 }
 
@@ -996,10 +948,7 @@ func (r *Replica) persistSnapshotIfDue() {
 		r.mu.Unlock()
 		return
 	}
-	responses := make(map[string][]byte, len(r.respCache))
-	for id, body := range r.respCache {
-		responses[id] = body
-	}
+	responses := r.replies.Copy()
 	r.persistedSnap = frontier
 	r.mu.Unlock()
 	snap, err := r.cfg.Service.Snapshot()
@@ -1020,17 +969,6 @@ func (r *Replica) persistSnapshotIfDue() {
 // which trims itself to the configured size. Caller holds r.mu.
 func (r *Replica) recordHistLocked(entry orderEntry) {
 	r.hist.Append(entry)
-}
-
-func (r *Replica) reply(conn *netsim.Conn, requestID string, body []byte) {
-	r.replyTagged(conn, requestID, body, false)
-}
-
-// replyTagged is reply with an explicit leased marker: true only on the
-// lease-read fast path, never on ordered execution.
-func (r *Replica) replyTagged(conn *netsim.Conn, requestID string, body []byte, leased bool) {
-	resp := sig.SignServerResponse(r.cfg.Keys, requestID, body, r.cfg.Index)
-	_ = conn.Send(encode(wireMsg{Type: msgResponse, RequestID: requestID, Response: &resp, Leased: leased}))
 }
 
 // handleHeartbeat adopts the sender as leader when eligible and, with
@@ -1056,7 +994,7 @@ func (r *Replica) handleHeartbeat(m wireMsg) []byte {
 			r.leaseAt = r.lastHeartbeat
 			r.mLeaseGrants.Inc()
 			r.trace.Record(metrics.KindLeaseGrant, r.cfg.Addr, m.From, m.Seq)
-			ack = encode(wireMsg{Type: msgLeaseAck, From: r.cfg.Index})
+			ack = encode(wireMsg{Msg: core.Msg{Type: msgLeaseAck}, From: r.cfg.Index})
 		}
 	}
 	behind := adopted && m.From != r.cfg.Index && m.Seq > r.nextExec
@@ -1086,7 +1024,7 @@ func (r *Replica) Tick() {
 	r.mu.Unlock()
 
 	if isLeader {
-		r.node.Broadcast(encode(wireMsg{Type: msgHeartbeat, From: r.cfg.Index, Seq: next}))
+		r.node.Broadcast(encode(wireMsg{Msg: core.Msg{Type: msgHeartbeat}, From: r.cfg.Index, Seq: next}))
 		return
 	}
 	if stale {
@@ -1120,7 +1058,7 @@ func (r *Replica) electNext(deadLeader int) {
 	r.mu.Unlock()
 
 	if becameLeader {
-		r.node.Broadcast(encode(wireMsg{Type: msgHeartbeat, From: r.cfg.Index, Seq: seq}))
+		r.node.Broadcast(encode(wireMsg{Msg: core.Msg{Type: msgHeartbeat}, From: r.cfg.Index, Seq: seq}))
 	}
 }
 
@@ -1150,7 +1088,7 @@ func (r *Replica) maybeCatchup() {
 	r.mu.Unlock()
 	r.mCatchupStarts.Inc()
 	r.trace.Record(metrics.KindCatchupStart, r.cfg.Addr, leader, from)
-	r.node.SendTo(leader, encode(wireMsg{Type: msgCatchupReq, Seq: from, From: r.cfg.Index}))
+	r.node.SendTo(leader, encode(wireMsg{Msg: core.Msg{Type: msgCatchupReq}, Seq: from, From: r.cfg.Index}))
 	r.node.Flush()
 }
 
@@ -1184,7 +1122,7 @@ func (r *Replica) buildCatchup(from uint64) []byte {
 		r.mu.Unlock()
 		// Nothing to transfer: answer with the frontier so the requester
 		// resolves its in-flight exchange promptly.
-		return encode(wireMsg{Type: msgCatchupResp, Seq: next, From: r.cfg.Index})
+		return encode(wireMsg{Msg: core.Msg{Type: msgCatchupResp}, Seq: next, From: r.cfg.Index})
 	}
 	if from >= r.hist.Base() {
 		entries := make([]wireLogEntry, 0, next-from)
@@ -1193,23 +1131,20 @@ func (r *Replica) buildCatchup(from uint64) []byte {
 			entries = append(entries, wireLogEntry{Seq: s, RequestID: e.requestID, Body: e.body})
 		}
 		r.mu.Unlock()
-		return encode(wireMsg{Type: msgCatchupResp, Seq: next, From: r.cfg.Index, Entries: entries})
+		return encode(wireMsg{Msg: core.Msg{Type: msgCatchupResp}, Seq: next, From: r.cfg.Index, Entries: entries})
 	}
 	// The gap predates the retained window: ship the whole state, plus the
 	// response cache — the receiver jumps over those requests without
 	// executing them, and must still answer their retries from cache
 	// instead of re-running them under fresh sequence numbers. execMu is
 	// held, so no Apply can slide anything past the frontier read above.
-	responses := make(map[string][]byte, len(r.respCache))
-	for id, body := range r.respCache {
-		responses[id] = body
-	}
+	responses := r.replies.Copy()
 	r.mu.Unlock()
 	snap, err := r.cfg.Service.Snapshot()
 	if err != nil {
 		return nil
 	}
-	return encode(wireMsg{Type: msgCatchupResp, Seq: next, From: r.cfg.Index, Snapshot: snap, Responses: responses})
+	return encode(wireMsg{Msg: core.Msg{Type: msgCatchupResp}, Seq: next, From: r.cfg.Index, Snapshot: snap, Responses: responses})
 }
 
 // applyCatchup installs a transfer: restore the snapshot (if any) to jump
@@ -1218,12 +1153,7 @@ func (r *Replica) buildCatchup(from uint64) []byte {
 // drains whatever later orders were buffered while the transfer ran.
 func (r *Replica) applyCatchup(m wireMsg) {
 	if len(m.Snapshot) > 0 {
-		type parked struct {
-			requestID string
-			body      []byte
-			conns     []*netsim.Conn
-		}
-		var answered []parked
+		var answered []core.Answerable
 		r.execMu.Lock()
 		r.mu.Lock()
 		if m.Seq > r.nextExec {
@@ -1246,27 +1176,14 @@ func (r *Replica) applyCatchup(m wireMsg) {
 				// order protocol under new sequence numbers — and anyone
 				// already parked on one of them gets the cached answer now.
 				// The transfer carries the donor's bounded cache (its retry
-				// horizon), inserted in sorted order so eviction positions
-				// stay deterministic.
-				for _, id := range sortedIDs(m.Responses) {
-					if _, ok := r.respCache[id]; !ok {
-						r.cacheRespLocked(id, m.Responses[id])
-					}
-					r.ordered[id] = true
-					if conns := r.pending[id]; len(conns) > 0 {
-						delete(r.pending, id)
-						answered = append(answered, parked{id, r.respCache[id], conns})
-					}
-				}
+				// horizon).
+				r.seedRepliesLocked(m.Responses)
+				answered = r.replies.UnparkCached()
 				if r.durable {
 					// The jump invalidates the journaled prefix: persist the
 					// transferred state as the new snapshot slot and drop the
 					// records it supersedes.
-					responses := make(map[string][]byte, len(r.respCache))
-					for id, body := range r.respCache {
-						responses[id] = body
-					}
-					if b, err := json.Marshal(storeSnapshot{Snapshot: m.Snapshot, Responses: responses}); err == nil {
+					if b, err := json.Marshal(storeSnapshot{Snapshot: m.Snapshot, Responses: r.replies.Copy()}); err == nil {
 						if r.store.WriteSnapshot(m.Seq-1, b) == nil {
 							_ = r.store.TruncateTo(store.TruncateAll)
 						}
@@ -1277,10 +1194,8 @@ func (r *Replica) applyCatchup(m wireMsg) {
 		}
 		r.mu.Unlock()
 		r.execMu.Unlock()
-		for _, p := range answered {
-			for _, c := range p.conns {
-				r.reply(c, p.requestID, p.body)
-			}
+		for _, a := range answered {
+			r.signer.Answer(a.Conns, a.RequestID, a.Payload)
 		}
 	}
 	if len(m.Entries) > 0 {
@@ -1288,7 +1203,7 @@ func (r *Replica) applyCatchup(m wireMsg) {
 		r.trace.Record(metrics.KindCatchupReplay, r.cfg.Addr, m.From, m.Seq)
 	}
 	for _, e := range m.Entries {
-		r.handleOrder(wireMsg{Type: msgOrder, RequestID: e.RequestID, Body: e.Body, Seq: e.Seq, From: m.From})
+		r.handleOrder(wireMsg{Msg: core.Msg{Type: msgOrder, RequestID: e.RequestID, Body: e.Body}, Seq: e.Seq, From: m.From})
 	}
 	// A suffix that closed the gap may have made buffered live orders
 	// contiguous too; handleOrder drained them. Flush anything the replay
@@ -1348,7 +1263,7 @@ func (c *Client) Invoke(requestID string, body []byte) ([]byte, error) {
 		wg.Add(1)
 		go func(idx int, addr string) {
 			defer wg.Done()
-			resp, err := request(c.net, fmt.Sprintf("%s-to-%d", c.from, idx), addr, requestID, body, c.timeout)
+			resp, _, err := core.Request(c.net, fmt.Sprintf("%s-to-%d", c.from, idx), addr, requestID, body, false, c.timeout)
 			if err == nil {
 				if pk, ok := c.pubKeys[idx]; ok {
 					if verr := sig.VerifyServerResponse(pk, resp); verr != nil {
@@ -1404,7 +1319,7 @@ func (c *Client) InvokeRead(requestID string, body []byte) ([]byte, error) {
 	for n := 0; n < len(c.sorted); n++ {
 		idx := c.sorted[(start+n)%len(c.sorted)]
 		addr := c.addrs[idx]
-		resp, leased, err := requestTagged(c.net, fmt.Sprintf("%s-to-%d", c.from, idx), addr, requestID, body, true, c.timeout)
+		resp, leased, err := core.Request(c.net, fmt.Sprintf("%s-to-%d", c.from, idx), addr, requestID, body, true, c.timeout)
 		if err != nil {
 			continue
 		}
@@ -1446,43 +1361,4 @@ func Vote(responses []sig.ServerResponse, f int) ([]byte, error) {
 		}
 	}
 	return nil, ErrNoQuorum
-}
-
-// request mirrors pb.Request but speaks the smr wire format.
-func request(net *netsim.Network, from, addr, requestID string, body []byte, timeout time.Duration) (sig.ServerResponse, error) {
-	resp, _, err := requestTagged(net, from, addr, requestID, body, false, timeout)
-	return resp, err
-}
-
-// requestTagged is request with an explicit read tag; the second return
-// reports whether the response was served under a valid read lease.
-func requestTagged(net *netsim.Network, from, addr, requestID string, body []byte, read bool, timeout time.Duration) (sig.ServerResponse, bool, error) {
-	conn, err := net.Dial(from, addr)
-	if err != nil {
-		return sig.ServerResponse{}, false, err
-	}
-	defer conn.Close()
-	if err := conn.Send(encode(wireMsg{Type: msgRequest, RequestID: requestID, Body: body, Read: read})); err != nil {
-		return sig.ServerResponse{}, false, err
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return sig.ServerResponse{}, false, netsim.ErrTimeout
-		}
-		raw, err := conn.RecvTimeout(remaining)
-		if err != nil {
-			return sig.ServerResponse{}, false, err
-		}
-		var m wireMsg
-		uerr := json.Unmarshal(raw, &m)
-		netsim.Release(raw) // decoded: json copied every field out of raw
-		if uerr != nil {
-			continue
-		}
-		if m.Type == msgResponse && m.RequestID == requestID && m.Response != nil {
-			return *m.Response, m.Leased, nil
-		}
-	}
 }

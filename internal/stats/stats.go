@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics used to report Monte-Carlo
 // lifetime estimates: streaming mean/variance, normal confidence intervals
-// and simple fixed-width histograms.
+// and quantiles.
 package stats
 
 import (
@@ -184,45 +184,4 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi); out-of-range samples
-// are clamped into the edge buckets so no observation is lost.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []uint64
-	total   uint64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bucket count, got %d", n)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: histogram needs lo < hi, got [%v, %v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]uint64, n)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int(float64(len(h.Buckets)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BucketRange returns the [lo, hi) span of bucket i.
-func (h *Histogram) BucketRange(i int) (lo, hi float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
 }

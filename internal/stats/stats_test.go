@@ -166,41 +166,6 @@ func TestQuantileSingle(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 9.99, -5, 100} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Buckets[0] != 3 { // 0, 1.9, clamped -5
-		t.Fatalf("bucket 0 = %d, want 3", h.Buckets[0])
-	}
-	if h.Buckets[4] != 2 { // 9.99, clamped 100
-		t.Fatalf("bucket 4 = %d, want 2", h.Buckets[4])
-	}
-	lo, hi := h.BucketRange(1)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("BucketRange(1) = [%v, %v)", lo, hi)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("want error for zero buckets")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("want error for lo == hi")
-	}
-	if _, err := NewHistogram(6, 5, 3); err == nil {
-		t.Fatal("want error for lo > hi")
-	}
-}
-
 func TestAccumulatorMinMaxOrderProperty(t *testing.T) {
 	prop := func(xs []float64) bool {
 		var a Accumulator
